@@ -110,10 +110,24 @@ assert lines[2]["stats"]["workers"] == 1, lines
 s.close()
 print("socket serve smoke: OK")
 EOF
+# Shutdown is woken, never waited out: an idle server must exit within
+# 2 s of SIGINT and remove its unix socket file.
+stop_start="$EPOCHREALTIME"
 kill -INT "$serve_pid"
 if ! wait "$serve_pid"; then
   echo "verify: FAIL — socket server did not exit cleanly" >&2
   cat "$tmp/serve-socket.log" >&2
+  exit 1
+fi
+stop_s="$(python -c 'import sys; print(f"{float(sys.argv[2]) - float(sys.argv[1]):.2f}")' \
+  "$stop_start" "$EPOCHREALTIME")"
+echo "socket server exited ${stop_s}s after SIGINT"
+if python -c 'import sys; sys.exit(float(sys.argv[1]) <= 2.0)' "$stop_s"; then
+  echo "verify: FAIL — socket server took ${stop_s}s (> 2 s) to exit after SIGINT" >&2
+  exit 1
+fi
+if [ -e "$tmp/serve.sock" ]; then
+  echo "verify: FAIL — socket server left $tmp/serve.sock behind" >&2
   exit 1
 fi
 

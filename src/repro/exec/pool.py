@@ -22,9 +22,10 @@ module keeps the workers.
   respawned and its job retried up to ``max_job_retries`` times; a job
   that keeps failing raises :class:`JobFailed` with the worker's story.
   Results flow back over per-worker pipes — never ``mp.Queue``, whose
-  feeder thread can lose a message when a process dies hard (the PR 6
-  serve-pool lesson) — and workers never touch any store: the parent
-  commits results, so a killed worker cannot corrupt anything.
+  feeder thread can lose a message when a process dies hard — and
+  workers never touch any store: the parent commits results, so a
+  killed worker cannot corrupt anything.  The :class:`Worker` handle
+  behind this is shared with the serve tier's worker pool.
 
 Scheduling cannot change results: pool users (``run_grid``,
 ``build_parallel``) only use workers to *fill caches*, and materialize
@@ -41,7 +42,7 @@ import pickle
 import time
 from collections import deque
 from multiprocessing import connection
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.utils.shm import SharedBlock
@@ -114,6 +115,18 @@ def _lookup_shared(key: str, shares: Dict[str, Tuple[str, int]]):
     return obj
 
 
+def messages(conn) -> Iterator[tuple]:
+    """Worker side of the pipe: each message until ``("stop",)`` or EOF."""
+    while True:
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):
+            return  # parent is gone; nothing left to serve
+        if msg[0] == "stop":
+            return
+        yield msg
+
+
 def _worker_main(conn) -> None:
     """Worker loop: resolve shares, run jobs, report over the pipe.
 
@@ -121,16 +134,8 @@ def _worker_main(conn) -> None:
     the next job.  Only parent death (EOF on the pipe) or an injected
     crash/kill ends the process.
     """
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            return  # parent is gone; nothing left to serve
-        kind = msg[0]
-        if kind == "stop":
-            conn.close()
-            return
-        if kind == "drop":
+    for msg in messages(conn):
+        if msg[0] == "drop":
             _WORKER_CACHE.pop(msg[1], None)
             _COW_REGISTRY.pop(msg[1], None)
             continue
@@ -144,15 +149,58 @@ def _worker_main(conn) -> None:
             conn.send(("ok", token, result))
 
 
-class _Worker:
-    """Parent-side handle: process + duplex pipe + the in-flight token."""
+class Worker:
+    """Parent-side handle on one worker process and its end of a duplex pipe.
 
-    __slots__ = ("proc", "conn", "token")
+    The one supervision primitive for every process pool in the package:
+    :class:`WarmPool` and the serve tier's
+    :class:`~repro.serve.pool.WorkerPool` both spawn, stop and respawn
+    workers through it, and both learn of a death from EOF on the pipe or
+    from the process sentinel.  ``token`` names what is on the pipe right
+    now (a job, a batch) or is ``None`` while the worker is idle.
+    """
 
-    def __init__(self, proc, conn):  # noqa: D107
-        self.proc = proc
-        self.conn = conn
-        self.token: Optional[int] = None  # the job it is running, if any
+    proc = conn = token = None  # empty until start(), and again after kill()
+
+    def start(self, ctx, target: Callable, *args, name: Optional[str] = None) -> "Worker":
+        """Run ``target(conn, *args)`` in a fresh process on a fresh pipe."""
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        self.proc = ctx.Process(
+            target=target, args=(child_conn, *args), daemon=True, name=name
+        )
+        self.proc.start()
+        child_conn.close()
+        self.conn, self.token = parent_conn, None
+        return self
+
+    def send(self, msg) -> bool:
+        """Put ``msg`` on the pipe; False if the worker is already gone."""
+        try:
+            self.conn.send(msg)
+        except (BrokenPipeError, OSError):
+            return False  # boundary: the sentinel reports the death
+        return True
+
+    def kill(self) -> None:
+        """Terminate the process if it still runs, reap it, release its fds."""
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join(STOP_GRACE_SECONDS)
+            if self.proc.is_alive():
+                self.proc.kill()
+        self.proc.join()
+        self.proc.close()  # the sentinel fd is otherwise held until GC
+        self.conn.close()
+        self.proc = self.conn = None
+
+
+def stop_workers(workers: Sequence[Worker]) -> None:
+    """Ask every worker to stop; terminate any that outlive the grace."""
+    for worker in workers:
+        worker.send(("stop",))
+    for worker in workers:
+        worker.proc.join(STOP_GRACE_SECONDS)
+        worker.kill()
 
 
 class WarmPool:
@@ -178,7 +226,7 @@ class WarmPool:
         self.job_timeout = job_timeout
         self.max_job_retries = int(max_job_retries)
         self._ctx = multiprocessing.get_context(self.start_method)
-        self._pool: List[_Worker] = []
+        self._pool: List[Worker] = []
         self._shares: Dict[str, SharedBlock] = {}
         self._tokens = itertools.count(1)
         self._closed = False
@@ -186,27 +234,17 @@ class WarmPool:
         self.jobs_done = 0
 
     # ------------------------------------------------------------ lifecycle
-    def _spawn_worker(self) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_worker_main, args=(child_conn,), daemon=True
-        )
-        proc.start()
-        child_conn.close()
-        return _Worker(proc, parent_conn)
+    def _spawn_worker(self, worker: Optional[Worker] = None) -> Worker:
+        return (worker or Worker()).start(self._ctx, _worker_main)
 
     def _ensure_workers(self, need: int) -> None:
         while len(self._pool) < min(self.workers, max(need, 1)):
             self._pool.append(self._spawn_worker())
 
-    def _respawn(self, worker: _Worker) -> None:
+    def _respawn(self, worker: Worker) -> None:
         """Replace a dead (or killed) worker with a fresh one, in place."""
-        if worker.proc.is_alive():
-            worker.proc.terminate()
-        worker.proc.join(STOP_GRACE_SECONDS)
-        worker.conn.close()
-        fresh = self._spawn_worker()
-        worker.proc, worker.conn, worker.token = fresh.proc, fresh.conn, None
+        worker.kill()
+        self._spawn_worker(worker)
         self.respawns += 1
 
     def close(self) -> None:
@@ -214,17 +252,7 @@ class WarmPool:
         if self._closed:
             return
         self._closed = True
-        for worker in self._pool:
-            try:
-                worker.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass  # boundary: worker already died; join below cleans up
-        for worker in self._pool:
-            worker.proc.join(STOP_GRACE_SECONDS)
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-                worker.proc.join(STOP_GRACE_SECONDS)
-            worker.conn.close()
+        stop_workers(self._pool)
         self._pool.clear()
         for key in list(self._shares):
             block = self._shares.pop(key)
@@ -264,10 +292,7 @@ class WarmPool:
         _COW_REGISTRY.pop(key, None)
         for worker in self._pool:
             if worker.proc.is_alive() and worker.token is None:
-                try:
-                    worker.conn.send(("drop", key))
-                except (BrokenPipeError, OSError):
-                    pass  # boundary: dying worker forgets the key anyway
+                worker.send(("drop", key))  # a dying worker forgets it anyway
 
     def _share_descriptors(self) -> Dict[str, Tuple[str, int]]:
         return {key: (b.name, b.nbytes) for key, b in self._shares.items()}
@@ -292,7 +317,7 @@ class WarmPool:
         results: List[object] = [None] * len(payloads)
         queue = deque((i, 0) for i in range(len(payloads)))
         # token → (worker, payload index, attempts, deadline)
-        pending: Dict[int, Tuple[_Worker, int, int, Optional[float]]] = {}
+        pending: Dict[int, Tuple[Worker, int, int, Optional[float]]] = {}
         shares = self._share_descriptors()
         try:
             while queue or pending:
@@ -316,9 +341,7 @@ class WarmPool:
             deadline = (
                 time.monotonic() + self.job_timeout if self.job_timeout else None
             )
-            try:
-                worker.conn.send(("job", token, func, payloads[index], shares))
-            except (BrokenPipeError, OSError):
+            if not worker.send(("job", token, func, payloads[index], shares)):
                 # The worker died between the liveness check and the send:
                 # recycle it and put the job back for the next pass.
                 self._requeue(queue, pending, index, attempts, "died on dispatch")

@@ -7,7 +7,10 @@ Two ways to run the same protocol:
 * :func:`create_server` + :class:`ServerConfig` (``repro serve
   --socket``) — a socket front end, a micro-batching scheduler with a
   latency deadline, N worker processes sharing one on-disk sharded
-  index, admission control, crash recovery and index hot-swap.
+  index, admission control, crash recovery and index hot-swap.  The
+  workers run on the same supervision as the training pool
+  (:class:`repro.exec.pool.Worker`: one process and one duplex pipe per
+  worker, deaths seen through pipe EOF or the process sentinel).
 
 See ``docs/serving.md`` for the protocol and operational semantics.
 """

@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.index import validate_k
 from repro.serve.core import parse_request, request_id_of
@@ -63,6 +63,22 @@ class ServerConfig:
     # stragglers are answered with a shutdown error.
     drain_timeout_s: float = 10.0
 
+    def __post_init__(self):  # noqa: D105
+        # Validate once, at construction: every component downstream
+        # (scheduler, pool, workers) receives values already known good.
+        # Comparisons are negated so NaN fails them too.
+        for name, low in dict(workers=1, max_batch=1, queue_depth=1, max_line_bytes=1,
+                              nprobe=1, max_delay_ms=0, drain_timeout_s=0).items():
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.batch_timeout_s is not None and not self.batch_timeout_s > 0:
+            raise ValueError(
+                f"batch_timeout_s must be None or > 0, got {self.batch_timeout_s}"
+            )
+        if self.mode not in ("exact", "ann"):
+            raise ValueError(f"mode must be 'exact' or 'ann', got {self.mode!r}")
+        validate_k(self.default_k)
+
 
 @dataclass
 class ServerStats:
@@ -92,11 +108,6 @@ class ConcurrentServer:
     """Socket service: N clients, N workers, micro-batched in between."""
 
     def __init__(self, config: ServerConfig):  # noqa: D107
-        validate_k(config.default_k)
-        if config.mode not in ("exact", "ann"):
-            raise ValueError(
-                f"mode must be 'exact' or 'ann', got {config.mode!r}"
-            )
         self.config = config
         self.stats = ServerStats()
         self._stats_lock = threading.Lock()
@@ -218,11 +229,10 @@ class ConcurrentServer:
         elif command == "reload":
             try:
                 result = self.reload_index(obj.get("index"))
-            except (RuntimeError, OSError, ValueError) as exc:
-                # Everything a swap can raise here: barrier timeout
-                # (RuntimeError), queue plumbing (OSError/ValueError).
-                # Per-worker open failures travel back as strings inside
-                # the ack, not as exceptions.
+            except RuntimeError as exc:
+                # Everything a swap can raise here: barrier timeout or a
+                # closed pool.  Per-worker open failures travel back as
+                # strings inside the ack, not as exceptions.
                 self._count_error()
                 conn.deliver(seq, {"id": rid, "error": f"reload failed: {exc}"})
                 return

@@ -24,13 +24,28 @@ final-line-without-newline behavior.
 from __future__ import annotations
 
 import json
+import os
 import socket
 import threading
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 Address = Union[Tuple[str, int], str]  # ("host", port) or unix socket path
 
 _RECV_BYTES = 65536
+
+_JOIN_TIMEOUT_S = 5.0  # shutdown() wakes every thread joined against this
+
+
+def _hang_up(sock: socket.socket) -> None:
+    """``shutdown()`` then ``close()``: only shutdown wakes a blocked thread."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already disconnected, or a listener that refuses shutdown
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 class Connection:
@@ -88,14 +103,7 @@ class Connection:
 
     def _shutdown_locked(self) -> None:
         self._dead = True
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        _hang_up(self.sock)
 
 
 class SocketFrontend:
@@ -116,6 +124,7 @@ class SocketFrontend:
         self.bound_address: Optional[Address] = None
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
+        self._readers: List[threading.Thread] = []
         self._conns = set()
         self._conns_lock = threading.Lock()
         self._stop = False
@@ -135,7 +144,8 @@ class SocketFrontend:
         listener.listen(self.backlog)
         self._listener = listener
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="serve-accept", daemon=True
+            target=self._accept_loop, args=(listener,), name="serve-accept",
+            daemon=True,
         )
         self._accept_thread.start()
         return self.bound_address
@@ -145,40 +155,51 @@ class SocketFrontend:
 
         First phase of graceful shutdown: no new clients get in, while
         responses already owed drain through the existing connections.
+        ``close()`` alone does not wake a thread blocked in ``accept()``;
+        ``shutdown()`` does, so the accept thread is joined, not waited
+        out.  A unix socket path is unlinked so a restart can bind it.
+        Idempotent.
         """
-        if self._listener is not None:
+        listener, self._listener = self._listener, None
+        if listener is None:
+            return
+        _hang_up(listener)
+        if isinstance(self.bound_address, str):
             try:
-                self._listener.close()
-            except OSError:
+                os.unlink(self.bound_address)
+            except FileNotFoundError:
                 pass
-        if self._accept_thread is not None and self._accept_thread.is_alive():
-            self._accept_thread.join(timeout=5)
+        self._accept_thread.join(_JOIN_TIMEOUT_S)
 
     def close(self) -> None:
-        """Stop accepting and drop every live connection."""
+        """Stop accepting, drop every live connection, join its reader."""
         self._stop = True
         self.stop_accepting()
         with self._conns_lock:
             conns = list(self._conns)
         for conn in conns:
             conn.close()
+        for reader in self._readers:
+            reader.join(_JOIN_TIMEOUT_S)
 
     # ------------------------------------------------------------- accept
-    def _accept_loop(self) -> None:
+    def _accept_loop(self, listener: socket.socket) -> None:
         while not self._stop:
             try:
-                sock, addr = self._listener.accept()
+                sock, addr = listener.accept()
             except OSError:
-                return  # listener closed
+                return  # listener shut down
             conn = Connection(sock, str(addr))
             with self._conns_lock:
                 self._conns.add(conn)
-            threading.Thread(
+            reader = threading.Thread(
                 target=self._reader_loop,
                 args=(conn,),
                 name=f"serve-client-{conn.peer}",
                 daemon=True,
-            ).start()
+            )
+            reader.start()
+            self._readers = [t for t in self._readers if t.is_alive()] + [reader]
 
     # -------------------------------------------------------------- reader
     def _reader_loop(self, conn: Connection) -> None:
